@@ -1,9 +1,12 @@
-"""Miller–Rabin primality testing and prime search.
+"""Baillie–PSW primality testing and prime search.
 
-Deterministic witness sets are used for inputs below 3.3 * 10**24 (Sorenson &
-Webster), and random witnesses above that, giving an error probability below
-4**-rounds.  This is the primality backend for all prime generation in
-:mod:`repro.crypto.primes`.
+:func:`is_probable_prime` is the Baillie–PSW test: a strong probable-prime
+test to base 2 followed by a strong Lucas probable-prime test with
+Selfridge's parameters.  It is exact for every ``n < 2**64`` (Feitsma and
+Galway's enumeration of the base-2 strong pseudoprimes below 2**64 contains
+no strong Lucas pseudoprime), no composite passing it is known above that,
+and it uses no randomness, so its answer depends on ``n`` alone.  This is
+the primality backend for all prime generation in :mod:`repro.crypto.primes`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ from repro.numt.sieve import first_n_primes
 
 __all__ = ["is_probable_prime", "next_prime", "random_prime"]
 
-# Deterministic Miller-Rabin witness set valid for all n < 3,317,044,064,679,887,385,961,981.
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
 _SMALL_PRIMES = first_n_primes(256)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _MAX_SMALL_PRIME = _SMALL_PRIMES[-1]
@@ -29,9 +28,12 @@ _MAX_SMALL_PRIME = _SMALL_PRIMES[-1]
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
-def _miller_rabin_round(n: int, d: int, r: int, a: int) -> bool:
-    """Return True if ``n`` passes one Miller-Rabin round with witness ``a``."""
-    x = pow(a, d, n)
+def _strong_base2(n: int) -> bool:
+    """Return True if odd ``n`` is a strong probable prime to base 2."""
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    x = pow(2, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(r - 1):
@@ -41,44 +43,81 @@ def _miller_rabin_round(n: int, d: int, r: int, a: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rounds: int = 32, rng: random.Random | None = None) -> bool:
-    """Miller–Rabin primality test.
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol ``(a / n)`` for odd positive ``n``."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
-    Deterministic (no false positives) for ``n`` below ~3.3e24; otherwise
-    probabilistic with error below ``4**-rounds``.
 
-    Args:
-        n: integer to test.
-        rounds: number of random witnesses for large ``n``.
-        rng: randomness source for witness selection.  When omitted,
-            witnesses are drawn from ``random.Random(n)`` — deterministic
-            per input across runs and processes, so the whole pipeline
-            stays bit-identical for a given seed even above the
-            deterministic-witness bound.
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's method A parameters.
+
+    ``n`` must be odd, greater than every candidate ``|D|`` the search can
+    reach and not a perfect square (for squares no ``D`` has Jacobi symbol
+    -1, so the search would not end).
     """
+    # D is the first of 5, -7, 9, -11, ... with (D / n) = -1.  A zero symbol
+    # means gcd(|D|, n) > 1, and as n > |D| that makes n composite.
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    # n + 1 = d * 2**s with d odd; walk the binary Lucas chain for U_d, V_d
+    # (P = 1), halving mod n via "add n if odd, then shift".
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U = (U >> 1) % n
+            V = (V >> 1) % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def is_probable_prime(n: int) -> bool:
+    """Baillie–PSW primality test (exact below ``2**64``; deterministic)."""
     if n < 2:
         return False
     if n <= _MAX_SMALL_PRIME:
         return n in _SMALL_PRIME_SET
     if math.gcd(n, _PRIMORIAL) != 1:
         return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
     # A lone base-2 round rejects nearly all remaining composites cheaply;
-    # only its survivors pay for the full witness set.
-    if not _miller_rabin_round(n, d, r, 2):
+    # only its survivors pay for the square guard and the Lucas chain.
+    if not _strong_base2(n):
         return False
-    if n < _DETERMINISTIC_BOUND:
-        witnesses: tuple[int, ...] | list[int] = _DETERMINISTIC_WITNESSES[1:]
-    else:
-        # Seeding on n keeps witness selection reproducible run-to-run
-        # while still varying witnesses between candidates.
-        rng = rng or random.Random(n)
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
-    return all(_miller_rabin_round(n, d, r, a) for a in witnesses)
+    if math.isqrt(n) ** 2 == n:
+        return False
+    return _strong_lucas(n)
 
 
 def next_prime(n: int) -> int:
@@ -97,7 +136,7 @@ def random_prime(bits: int, rng: random.Random) -> int:
     """Return a uniformly-sampled prime of exactly ``bits`` bits.
 
     Candidates are drawn with the top bit forced (so the bit length is exact)
-    and the bottom bit forced (odd), then Miller–Rabin tested.
+    and the bottom bit forced (odd), then tested with Baillie–PSW.
 
     Raises:
         ValueError: if ``bits < 2`` (no primes of that size exist).

@@ -11,7 +11,9 @@ One :class:`ServiceWorker` thread drains the :class:`~repro.service.queue.JobQue
    degradation) with a per-job
    :class:`~repro.faults.checkpoint.CheckpointStore` under
    ``<state_dir>/checkpoints/<job_id>/``, so a SIGKILL mid-run resumes
-   the *same engine computation* on restart instead of recomputing;
+   the *same engine computation* on restart instead of recomputing (the
+   directory is removed once the job reaches a terminal state, and a
+   startup sweep removes those of finished or unknown jobs);
    under ``engine_mode="incremental"`` small jobs are instead served by
    per-modulus inserts into the persistent
    :class:`~repro.numt.incremental.ProductTreeStore` (checked against
@@ -35,6 +37,7 @@ permanent failures, not just successes.
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 import urllib.error
 import urllib.request
@@ -52,6 +55,8 @@ __all__ = ["KeyCheckRunner", "ServiceWorker", "WebhookNotifier"]
 
 #: Store directory name under the service state dir (incremental mode).
 INCREMENTAL_STORE_DIR = "incremental-store"
+#: Per-job engine checkpoint directories live under this state-dir entry.
+CHECKPOINT_DIR = "checkpoints"
 
 
 class KeyCheckRunner:
@@ -268,7 +273,9 @@ class ServiceWorker(threading.Thread):
             :class:`KeyCheckRunner` built from ``config``.
         notifier: webhook delivery driver (built from ``config`` when
             omitted).
-        config: service knobs (used only for the defaults above).
+        config: service knobs (used for the defaults above and to locate
+            ``<state_dir>/checkpoints``, which the worker keeps free of
+            finished jobs' checkpoints).
         telemetry: service-level metrics sink.
         idle_wait: condition-wait timeout between claims, seconds.
     """
@@ -285,12 +292,15 @@ class ServiceWorker(threading.Thread):
     ) -> None:
         super().__init__(name="repro-service-worker", daemon=True)
         service_telemetry = telemetry or Telemetry(enabled=False)
+        self._checkpoint_root = (
+            Path(config.state_dir) / CHECKPOINT_DIR if config is not None else None
+        )
         if runner is None:
             if config is None:
                 raise ValueError("either a runner or a config is required")
             runner = KeyCheckRunner(
                 config,
-                checkpoint_root=Path(config.state_dir) / "checkpoints",
+                checkpoint_root=self._checkpoint_root,
                 telemetry=service_telemetry,
             )
         if notifier is None:
@@ -315,6 +325,7 @@ class ServiceWorker(threading.Thread):
             self.join(timeout=join_timeout)
 
     def run(self) -> None:
+        self._sweep_checkpoints()
         self._redeliver_pending_webhooks()
         while not self._stop_event.is_set():
             job = self._queue.claim()
@@ -333,6 +344,7 @@ class ServiceWorker(threading.Thread):
         except Exception as exc:  # noqa: BLE001 — worker must survive any job
             _, requeued = self._queue.fail(job.job_id, f"{type(exc).__name__}: {exc}")
             if not requeued:
+                self._discard_checkpoint(job.job_id)
                 self._notify(job.job_id)
             return
         finally:
@@ -341,7 +353,31 @@ class ServiceWorker(threading.Thread):
                 "service.job_seconds", clock.wall() - started
             )
         self._queue.complete(job.job_id, result, report)
+        self._discard_checkpoint(job.job_id)
         self._notify(job.job_id)
+
+    def _discard_checkpoint(self, job_id: str) -> None:
+        """Drop a job's engine checkpoint once its terminal state is journalled.
+
+        The journal is the durable record of the outcome; a retried run
+        (attempts left) keeps its checkpoint and resumes from it.
+        """
+        if self._checkpoint_root is not None:
+            shutil.rmtree(self._checkpoint_root / job_id, ignore_errors=True)
+
+    def _sweep_checkpoints(self) -> None:
+        """Startup pass: checkpoints of terminal or unknown jobs.
+
+        Covers a kill between the terminal journal event and the
+        discard, and jobs cancelled while a checkpoint was on disk.
+        Queued and paused jobs keep theirs to resume from.
+        """
+        if self._checkpoint_root is None or not self._checkpoint_root.is_dir():
+            return
+        for entry in sorted(self._checkpoint_root.iterdir()):
+            job = self._queue.get(entry.name)
+            if job is None or job.status.is_terminal:
+                shutil.rmtree(entry, ignore_errors=True)
 
     def _notify(self, job_id: str) -> None:
         job = self._queue.get(job_id)

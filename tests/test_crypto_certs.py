@@ -1,5 +1,8 @@
 """Tests for the certificate model, issuance, and key substitution."""
 
+import dataclasses
+import hashlib
+import pickle
 import random
 from datetime import date
 
@@ -143,3 +146,44 @@ class TestKeySubstitution:
         mitm = generate_rsa_keypair(128, random.Random(14))
         swapped = substitute_public_key(cert, mitm.public, signer=mitm.private)
         assert swapped.verify_signature(signer=mitm.public)
+
+
+class TestFingerprintCache:
+    def test_computed_once(self, cert):
+        assert cert.fingerprint() is cert.fingerprint()
+
+    def test_matches_fresh_hash(self, cert):
+        expected = hashlib.sha256(
+            cert.tbs_bytes() + b"\n" + str(cert.signature).encode()
+        ).hexdigest()
+        cert.fingerprint()
+        assert cert.fingerprint() == expected
+
+    def test_substitution_recomputes(self, cert):
+        before = cert.fingerprint()
+        other = generate_rsa_keypair(128, random.Random(13))
+        swapped = substitute_public_key(cert, other.public)
+        assert swapped.fingerprint() != before
+        assert swapped.fingerprint() == dataclasses.replace(swapped).fingerprint()
+
+    def test_replace_recomputes(self, cert):
+        before = cert.fingerprint()
+        changed = dataclasses.replace(cert, serial=cert.serial + 1)
+        assert changed.fingerprint() != before
+        assert dataclasses.replace(changed, serial=cert.serial).fingerprint() == before
+
+    def test_cache_ignored_by_eq_hash_repr(self, cert):
+        twin = dataclasses.replace(cert)
+        cert.fingerprint()
+        assert twin == cert
+        assert hash(twin) == hash(cert)
+        assert repr(twin) == repr(cert)
+        assert "_fingerprint" not in repr(cert)
+
+    def test_pickle_round_trip_keeps_fingerprint(self, cert):
+        fingerprint = cert.fingerprint()
+        restored = pickle.loads(pickle.dumps(cert))
+        assert restored == cert
+        assert restored.fingerprint() == fingerprint
+        fresh = pickle.loads(pickle.dumps(dataclasses.replace(cert)))
+        assert fresh.fingerprint() == fingerprint
